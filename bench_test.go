@@ -12,7 +12,9 @@ package hashjoin
 
 import (
 	"io"
+	"sort"
 	"testing"
+	"time"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/core"
@@ -299,4 +301,15 @@ func BenchmarkRunExperimentAPI(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// medianDuration returns the middle element of ds (averaging the two
+// middle elements for even lengths). It sorts ds in place.
+func medianDuration(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	n := len(ds)
+	if n%2 == 1 {
+		return ds[n/2]
+	}
+	return (ds[n/2-1] + ds[n/2]) / 2
 }

@@ -36,7 +36,6 @@ import (
 	"hashjoin/internal/exp"
 	"hashjoin/internal/native"
 	"hashjoin/internal/plan"
-	"hashjoin/internal/spill"
 	"hashjoin/internal/workload"
 )
 
@@ -165,24 +164,6 @@ type spillOpts struct {
 	hybrid  bool
 }
 
-// arenaHeadroom over-approximates the spill tier's page-pool claim on
-// the arena (zero when the tier cannot engage), mirroring the cli
-// package's scratch estimate for the monolithic-join path.
-func (s spillOpts) arenaHeadroom(memBudget int) uint64 {
-	if memBudget <= 0 || s.off {
-		return 0
-	}
-	sw := s.workers
-	if sw < 1 {
-		sw = spill.DefaultWorkers
-	}
-	chunk := memBudget/spill.DefaultPageSize + 1
-	if chunk > 256 {
-		chunk = 256
-	}
-	return uint64(chunk+3*sw+4)*uint64(spill.DefaultPageSize) + (64 << 10)
-}
-
 // runPipeline benchmarks the shared operator pipeline per scheme on the
 // selected engine. Each run uses a fresh arena (same seed, identical
 // workload bytes); native repetitions interleave the schemes so host
@@ -304,13 +285,17 @@ func runNative(ctx context.Context, spec workload.Spec, schemeList string, fanou
 	}
 	schemes := make([]native.Scheme, len(parsed))
 	for i, s := range parsed {
-		schemes[i] = cli.NativeScheme(s)
+		schemes[i] = engine.NativeScheme(s)
 	}
 	if reps < 1 {
 		reps = 1
 	}
 
-	a := arena.New(workload.ArenaBytesFor(spec) + sp.arenaHeadroom(memBudget))
+	// The monolithic join has no output ring, pipe buffers or aggregate:
+	// its only arena scratch is the spill tier's page pool.
+	a := arena.New(workload.ArenaBytesFor(spec) + engine.PlannedScratch(engine.Scratch{
+		MemBudget: memBudget, NoSpill: sp.off, SpillWorkers: sp.workers,
+	}))
 	pair := workload.Generate(a, spec)
 	fmt.Printf("native join benchmark: %d build x %d probe tuples, %d B each, fanout %d, prefetch asm %v\n",
 		pair.Build.NTuples, pair.Probe.NTuples, spec.TupleSize, fanout, native.HavePrefetch)

@@ -2,22 +2,17 @@ package hashjoin
 
 // The package's error taxonomy, re-exported from the internal layers so
 // callers can classify failures at the Env boundary with errors.Is /
-// errors.As without importing internal packages. Every error an Env or
-// NativeJoiner method returns matches exactly one of the sentinel
-// classes below (or none, for plain configuration errors), and the
-// typed errors carry the diagnosis: what was exhausted, which pair was
-// over budget, how much work a cancelled join completed, or which spill
-// page was corrupt.
+// errors.As without importing internal packages. Every error an Env
+// method returns matches exactly one of the sentinel classes below (or
+// none, for plain configuration errors), and the typed errors carry the
+// diagnosis: what was exhausted, which pair was over budget, how much
+// work a cancelled join completed, or which spill page was corrupt.
 //
 // Cancellation composes with the standard library: a join cancelled
 // through a context matches both ErrCancelled and the context's own
 // context.Canceled / context.DeadlineExceeded.
 
 import (
-	"context"
-	"errors"
-	"time"
-
 	"hashjoin/internal/arena"
 	"hashjoin/internal/native"
 	"hashjoin/internal/sched"
@@ -32,8 +27,8 @@ var (
 	ErrOutOfMemory = arena.ErrOutOfMemory
 
 	// ErrOverBudget classifies a partition pair that no partitioning
-	// could bring under the memory budget, under WithNativeNoSpill /
-	// WithPipelineNoSpill. The concrete error is a *BudgetError.
+	// could bring under the memory budget, under WithPipelineNoSpill.
+	// The concrete error is a *BudgetError.
 	ErrOverBudget = native.ErrOverBudget
 
 	// ErrCancelled classifies a join stopped by its context. The
@@ -104,22 +99,3 @@ const (
 	// AdmissionDraining: the Env is shutting down and admits nothing new.
 	AdmissionDraining = sched.Draining
 )
-
-// wrapCancel normalizes a cancellation-class error crossing the public
-// boundary into a *CancelError, so callers see one cancellation type no
-// matter which layer noticed the context first. Errors that already are
-// a *CancelError (the native morsel path builds them with pair-level
-// progress) and errors of other classes pass through unchanged.
-func wrapCancel(err error, elapsed time.Duration) error {
-	if err == nil {
-		return nil
-	}
-	var ce *CancelError
-	if errors.As(err, &ce) {
-		return err
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return &CancelError{Cause: err, Elapsed: elapsed}
-	}
-	return err
-}

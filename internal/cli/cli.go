@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -111,20 +110,6 @@ func ParseSchemeList(csv string) ([]core.Scheme, error) {
 	return out, nil
 }
 
-// NativeScheme maps a simulator scheme onto the native engine's: Simple
-// runs as Baseline (its whole-page prefetch has no native analog) and
-// Combined as Group.
-func NativeScheme(s core.Scheme) native.Scheme {
-	switch s {
-	case core.SchemeGroup, core.SchemeCombined:
-		return native.Group
-	case core.SchemePipelined:
-		return native.Pipelined
-	default:
-		return native.Baseline
-	}
-}
-
 // NormalizeFanout rounds a requested partition fan-out the way the
 // native partitioner does: values above one round up to the next power
 // of two; zero and one are passed through (0 = derive, 1 = single pair).
@@ -197,24 +182,6 @@ func StatusName(code int) string {
 	default:
 		return "failure"
 	}
-}
-
-// wrapCancel normalizes a raw context error noticed deep in a pipeline
-// (scans return ctx.Err() unwrapped) into the typed *native.CancelError
-// that PipelineErrorDetail and ExitCodeFor key on; errors that already
-// carry the type, and non-cancellation errors, pass through.
-func wrapCancel(err error, elapsed time.Duration) error {
-	if err == nil {
-		return nil
-	}
-	var ce *native.CancelError
-	if errors.As(err, &ce) {
-		return err
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return &native.CancelError{Cause: err, Elapsed: elapsed}
-	}
-	return err
 }
 
 // Fatalf reports a usage error (bad flag value) for prog: exit code 2.
@@ -378,32 +345,9 @@ type PipelineResult struct {
 	Stats   memsim.Stats  // Sim: cycle breakdown of the whole pipeline
 	Elapsed time.Duration // Native: wall clock of the whole pipeline
 
-	// JoinFanout is the partition count the native join actually used
-	// (1: streaming); JoinRecursionDepth is how deep the budget governor
-	// had to re-partition oversized pairs (0: none).
-	JoinFanout         int
-	JoinRecursionDepth int
-
-	// SpilledPartitions counts partition pairs the native join completed
-	// out of core; the remaining fields total the spill tier's file I/O
-	// and the latency its write-behind/read-ahead overlap failed to hide.
-	SpilledPartitions int
-	SpillBytesWritten int64
-	SpillBytesRead    int64
-	SpillWriteStall   time.Duration
-	SpillReadStall    time.Duration
-	// SpillFailovers counts spill directories declared failed mid-join;
-	// SpillRebuilds counts partitions rebuilt from their in-memory
-	// source after a failed or corrupt spill file.
-	SpillFailovers int64
-	SpillRebuilds  int64
-
-	// Hybrid-policy accounting: partition pairs joined fully in memory
-	// and planned-resident pairs demoted to disk mid-join (with their
-	// summed build footprints). Zero without Hybrid.
-	ResidentPartitions int
-	DemotedPartitions  int
-	BytesDemoted       int64
+	// Report carries the native join's execution detail (fan-out,
+	// recursion, spill and hybrid counters); all zero on the simulator.
+	engine.Report
 
 	// Plan is the planner's decision and inputs when it was consulted
 	// (Strategy != Auto, or Explain); nil otherwise.
@@ -502,62 +446,18 @@ func (p *Pipeline) Materialize() {
 	if p.Pair != nil {
 		return
 	}
-	p.A = arena.New(workload.ArenaBytesFor(p.Spec) + p.scratchBytes())
+	tupleSize := max(p.Spec.TupleSize, 8) // the generator's minimum width
+	p.A = arena.New(workload.ArenaBytesFor(p.Spec) + engine.PlannedScratch(engine.Scratch{
+		OutWidth:     2 * tupleSize,
+		Batch:        p.Params.G,
+		Workers:      p.Workers,
+		RingMatches:  p.Spec.MatchesPerBuild,
+		AggRows:      p.Spec.NBuild,
+		MemBudget:    p.MemBudget,
+		NoSpill:      p.NoSpill || p.Engine != engine.Native, // the simulator has no spill tier
+		SpillWorkers: p.SpillWorkers,
+	}))
 	p.Pair = workload.Generate(p.A, p.Spec)
-}
-
-// scratchBytes estimates the per-run arena scratch of the compiled
-// Scan ⋈ Scan -> HashAggregate plan beyond the workload itself: the
-// streaming join's output ring (one probe batch's matches), the morsel
-// pipe buffers (2·workers+4 batches of concatenated rows), and the
-// aggregate's staging block (one AggTupleWidth row per possible group),
-// with slack for page rounding. Scoped allocation reclaims all of it
-// between runs, so this bounds the steady-state high-water mark, not a
-// per-run leak.
-func (p *Pipeline) scratchBytes() uint64 {
-	tupleSize := p.Spec.TupleSize
-	if tupleSize < 8 {
-		tupleSize = 8
-	}
-	outWidth := uint64(2 * tupleSize)
-	batch := p.Params.G
-	if batch < native.DefaultG {
-		batch = native.DefaultG // covers both backends' default G
-	}
-	workers := p.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	mpb := p.Spec.MatchesPerBuild
-	if mpb < 1 {
-		mpb = 1
-	}
-	ring := uint64(batch*mpb) * outWidth
-	pipeBufs := uint64(2*workers+4) * uint64(batch) * outWidth
-	aggStaging := uint64(p.Spec.NBuild) * engine.AggTupleWidth
-	return ring + pipeBufs + aggStaging + p.spillPoolBytes() + (64 << 10)
-}
-
-// spillPoolBytes over-approximates the arena scratch the native join's
-// out-of-core tier may claim for its page buffer pool: chunk pages plus
-// write/read working buffers, all DefaultPageSize-sized. Zero when the
-// tier cannot engage (unbudgeted or disabled).
-func (p *Pipeline) spillPoolBytes() uint64 {
-	if p.Engine != engine.Native || p.MemBudget <= 0 || p.NoSpill {
-		return 0
-	}
-	sw := p.SpillWorkers
-	if sw < 1 {
-		sw = spill.DefaultWorkers
-	}
-	// The real chunk count divides the budget by page size plus per-tuple
-	// table overhead; dividing by page size alone over-counts, which is
-	// the safe direction. 256 mirrors the native tier's chunk-page cap.
-	chunk := p.MemBudget/spill.DefaultPageSize + 1
-	if chunk > 256 {
-		chunk = 256
-	}
-	return uint64(chunk+3*sw+4)*uint64(spill.DefaultPageSize) + (64 << 10)
 }
 
 // Run executes the pipeline on the configured backend and validates the
@@ -579,7 +479,7 @@ func (p *Pipeline) Run() (PipelineResult, error) {
 		strategy, fanout = dec.Strategy, dec.Fanout
 	}
 
-	var report engine.Report
+	var res PipelineResult
 	cfg := engine.Config{
 		Backend:      p.Engine,
 		A:            p.A,
@@ -593,10 +493,9 @@ func (p *Pipeline) Run() (PipelineResult, error) {
 		SpillWorkers: p.SpillWorkers,
 		NoSpill:      p.NoSpill,
 		Hybrid:       p.Hybrid,
-		Report:       &report,
+		Report:       &res.Report,
 		Ctx:          p.Ctx,
 	}
-	var res PipelineResult
 	res.Plan = dec
 	start := time.Now()
 	switch p.Engine {
@@ -613,7 +512,7 @@ func (p *Pipeline) Run() (PipelineResult, error) {
 		}
 		res.Groups, err = engine.Groups(root, p.A)
 		if err != nil {
-			return res, wrapCancel(err, time.Since(start))
+			return res, native.WrapCancel(err, time.Since(start))
 		}
 		res.Stats = m.S.Stats()
 	case engine.Native:
@@ -623,25 +522,12 @@ func (p *Pipeline) Run() (PipelineResult, error) {
 		}
 		res.Groups, err = engine.Groups(root, p.A)
 		if err != nil {
-			return res, wrapCancel(err, time.Since(start))
+			return res, native.WrapCancel(err, time.Since(start))
 		}
 		res.Elapsed = time.Since(start)
 	default:
 		return res, fmt.Errorf("unknown backend %v", p.Engine)
 	}
-	res.JoinFanout = report.JoinFanout
-	res.JoinRecursionDepth = report.JoinRecursionDepth
-	res.SpilledPartitions = report.SpilledPartitions
-	res.SpillBytesWritten = report.SpillBytesWritten
-	res.SpillBytesRead = report.SpillBytesRead
-	res.SpillWriteStall = report.SpillWriteStall
-	res.SpillReadStall = report.SpillReadStall
-	res.SpillFailovers = report.SpillFailovers
-	res.SpillRebuilds = report.SpillRebuilds
-	res.ResidentPartitions = report.ResidentPartitions
-	res.DemotedPartitions = report.DemotedPartitions
-	res.BytesDemoted = report.BytesDemoted
-
 	for _, g := range res.Groups {
 		res.NOutput += int(g.Count)
 		res.KeySum += uint64(g.Key) * g.Count

@@ -133,6 +133,9 @@ func TestParseSchemeList(t *testing.T) {
 	}
 }
 
+// TestNativeScheme pins the scheme mapping the commands print and run
+// their native joins with: the engine's own, so a pipeline run and a
+// monolithic native join agree on what each scheme name means.
 func TestNativeScheme(t *testing.T) {
 	cases := []struct {
 		in   core.Scheme
@@ -141,11 +144,11 @@ func TestNativeScheme(t *testing.T) {
 		{core.SchemeBaseline, native.Baseline},
 		{core.SchemeSimple, native.Baseline}, // no native analog of page prefetch
 		{core.SchemeGroup, native.Group},
-		{core.SchemeCombined, native.Group},
+		{core.SchemeCombined, native.Baseline}, // partition-phase-only scheme
 		{core.SchemePipelined, native.Pipelined},
 	}
 	for _, tc := range cases {
-		if got := NativeScheme(tc.in); got != tc.want {
+		if got := engine.NativeScheme(tc.in); got != tc.want {
 			t.Errorf("NativeScheme(%v) = %v, want %v", tc.in, got, tc.want)
 		}
 	}

@@ -272,9 +272,11 @@ func (c Config) batchSize() int {
 	return core.DefaultParams().G
 }
 
-// nativeScheme maps the config's scheme onto the native engine's.
-func (c Config) nativeScheme() native.Scheme {
-	switch c.Scheme {
+// NativeScheme maps a simulator scheme onto the native engine's. Simple
+// and Combined have no native analog (whole-page prefetch, and a
+// partition-phase-only combination) and run as Baseline.
+func NativeScheme(s core.Scheme) native.Scheme {
+	switch s {
 	case core.SchemeGroup:
 		return native.Group
 	case core.SchemePipelined:

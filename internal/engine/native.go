@@ -255,7 +255,7 @@ func (h *nativeHashJoin) Open() error {
 		// over the shared table.
 		h.buildChild.Close()
 		h.buildClosed = true
-		h.prober = h.cfg.Build.NewTypedProber(h.jt, h.cfg.nativeScheme(),
+		h.prober = h.cfg.Build.NewTypedProber(h.jt, NativeScheme(h.cfg.Scheme),
 			h.cfg.Params.G, h.cfg.Params.D)
 	} else {
 		rel, err := h.resolveBuild()
@@ -277,7 +277,7 @@ func (h *nativeHashJoin) Open() error {
 		}
 		h.buildEntries = native.Flatten(rel, h.buildEntries)
 		h.prober = native.NewTypedProber(h.data, h.buildEntries, h.buildWidth,
-			h.jt, h.cfg.nativeScheme(), h.cfg.Params.G, h.cfg.Params.D)
+			h.jt, NativeScheme(h.cfg.Scheme), h.cfg.Params.G, h.cfg.Params.D)
 	}
 	if h.cfg.Report != nil {
 		h.cfg.Report.JoinFanout = 1
@@ -476,7 +476,7 @@ func (h *nativeHashJoin) openMorsel(buildRel *storage.Relation) error {
 	h.last = nil
 
 	jcfg := native.Config{
-		Scheme:   h.cfg.nativeScheme(),
+		Scheme:   NativeScheme(h.cfg.Scheme),
 		JoinType: h.jt,
 		G:        h.cfg.Params.G, D: h.cfg.Params.D,
 		Fanout: h.cfg.Fanout, Workers: workers,
@@ -602,7 +602,7 @@ func newNativeHashAggregate(cfg Config, child Operator, childWidth, valueOff, gr
 func (ha *nativeHashAggregate) Open() error {
 	data := ha.a.Data()
 	table := native.NewAggTable(ha.groups)
-	scheme := ha.cfg.nativeScheme()
+	scheme := NativeScheme(ha.cfg.Scheme)
 	g := ha.batch
 
 	ha.childClosed = false

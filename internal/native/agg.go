@@ -5,15 +5,14 @@ import (
 	"unsafe"
 )
 
-// prefetchHeader hints the cache line holding a bucket header.
-func prefetchHeader(h *header) { prefetchT0(unsafe.Pointer(h)) }
-
 // Native hash aggregation — the extension the paper's conclusion
 // proposes ("our techniques can improve other hash-based algorithms such
 // as hash-based group-by and aggregation") running on real memory. The
-// table reuses the flat cache-line layout of the join table (32-byte
-// headers, two per line, shared overflow slab), but cells reference
-// accumulator records in a separate slab instead of build tuples. The
+// table keeps the paper's Figure 2 shape — an array of bucket headers,
+// each embedding its first cell inline and pointing at a dynamically
+// grown overflow array — laid out for cache-line locality: 32-byte
+// headers, two per 64-byte line, and one shared overflow slab addressed
+// by index. Cells reference accumulator records in a separate slab. The
 // record slab doubles as the group list: records are appended in
 // first-seen order, so iteration is deterministic and needs no table
 // walk.
@@ -42,6 +41,32 @@ type aggRec struct {
 	count uint64
 	sum   uint64
 }
+
+// header is one bucket: the inline first cell plus the bucket's overflow
+// array in the shared slab. 32 bytes, two per cache line, so a single
+// prefetch of the header address covers the count, the inline cell, and
+// the overflow pointer.
+type header struct {
+	count uint32 // cells in the bucket (inline cell included)
+	code0 uint32 // inline cell: hash code
+	ref0  uint64 // inline cell: record index
+	cells uint32 // slab index of the overflow array; 0 = none
+	cap_  uint32 // capacity of the overflow array, in cells
+	_     uint64 // pad to 32 bytes: two headers per cache line
+}
+
+// cell is one overflow entry: a hash code and the record it filters for.
+type cell struct {
+	code uint32
+	_    uint32
+	ref  uint64 // record index
+}
+
+// initialCellCap matches the simulator's hash.InitialCellCap.
+const initialCellCap = 4
+
+// prefetchHeader hints the cache line holding a bucket header.
+func prefetchHeader(h *header) { prefetchT0(unsafe.Pointer(h)) }
 
 // AggTable is the native flat group-by table.
 type AggTable struct {
@@ -97,7 +122,7 @@ func (t *AggTable) Upsert(in AggInput) {
 	h := &t.headers[t.bucket(in.Code)]
 	if h.count > 0 {
 		if h.code0 == in.Code {
-			if r := &t.recs[h.tuple0]; r.key == in.Key {
+			if r := &t.recs[h.ref0]; r.key == in.Key {
 				r.count++
 				r.sum += uint64(in.Value)
 				return
@@ -119,7 +144,7 @@ func (t *AggTable) Upsert(in AggInput) {
 	t.recs = append(t.recs, aggRec{key: in.Key, count: 1, sum: uint64(in.Value)})
 	if h.count == 0 {
 		h.code0 = in.Code
-		h.tuple0 = ref
+		h.ref0 = ref
 		h.count = 1
 		return
 	}

@@ -51,3 +51,17 @@ func asCancel(err error, pairsDone, pairsTotal, rowsOut int) error {
 	}
 	return &CancelError{Cause: err, PairsDone: pairsDone, PairsTotal: pairsTotal, RowsOut: rowsOut}
 }
+
+// WrapCancel normalizes a cancellation-class error crossing a public
+// boundary into a *CancelError, so callers see one cancellation type no
+// matter which layer noticed the context first (scans return ctx.Err()
+// unwrapped). Errors that already are a *CancelError — the morsel join
+// builds them with pair-level progress — and errors of other classes
+// pass through unchanged.
+func WrapCancel(err error, elapsed time.Duration) error {
+	var ce *CancelError
+	if err == nil || errors.As(err, &ce) || !isCancellation(err) {
+		return err
+	}
+	return &CancelError{Cause: err, Elapsed: elapsed}
+}

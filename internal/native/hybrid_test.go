@@ -92,8 +92,8 @@ func TestChunkPagesUsesConfiguredPageSize(t *testing.T) {
 		if n < 1 {
 			n = 1
 		}
-		if n > spillChunkPagesCap {
-			n = spillChunkPagesCap
+		if n > SpillChunkPagesCap {
+			n = SpillChunkPagesCap
 		}
 		return n
 	}

@@ -1,4 +1,4 @@
-package hashjoin
+package native
 
 // Native-engine benchmarks: the paper's join-phase experiment on real
 // hardware. The workload is the pivot configuration scaled to a >= 1M
@@ -7,12 +7,12 @@ package hashjoin
 // outside the caches — the regime whose miss latency the group and
 // pipelined schemes exist to hide.
 //
-// BenchmarkNativeSpeedup additionally writes BENCH_native.json, a
-// machine-readable trajectory point (wall-clock per scheme plus the
-// speedups over baseline) for tracking the native engine across
-// checkins:
+// BenchmarkNativeSpeedup additionally writes BENCH_native.json at the
+// repository root, a machine-readable trajectory point (join-phase wall
+// clock per scheme plus the speedups over baseline) for tracking the
+// native engine across checkins:
 //
-//	go test -run=^$ -bench 'BenchmarkNative' -benchtime=3x .
+//	go test -run '^$' -bench BenchmarkNativeSpeedup -benchtime=1x ./internal/native
 
 import (
 	"encoding/json"
@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"hashjoin/internal/arena"
 	"hashjoin/internal/workload"
 )
 
@@ -35,24 +36,24 @@ var nativeBenchSpec = workload.Spec{
 	Seed:            42,
 }
 
+// nativeBenchDoc is where BenchmarkNativeSpeedup writes its trajectory:
+// the repository root, relative to this package's directory.
+const nativeBenchDoc = "../../BENCH_native.json"
+
 var (
 	nativeBenchOnce   sync.Once
-	nativeBenchEnv    *Env
-	nativeBenchBuild  *Relation
-	nativeBenchProbe  *Relation
 	nativeBenchPair   *workload.Pair
-	nativeBenchJoiner *NativeJoiner
+	nativeBenchJoiner *Joiner
 )
 
 // nativeBenchRelations generates the benchmark workload once; joins do
 // not mutate the relations, so all benchmarks share them — along with
-// one resident NativeJoiner, warmed by an untimed join, so every
-// measurement runs on recycled, already-populated memory. (Growing
-// fresh scratch per join stalls in the kernel's page population and was
-// the dominant noise source on virtualized hosts.) Sized for the
-// relations alone: the native engine's tables live on the Go heap, not
-// in the arena.
-func nativeBenchRelations(tb testing.TB) (*Relation, *Relation, *workload.Pair) {
+// one resident Joiner, warmed by an untimed join, so every measurement
+// runs on recycled, already-populated memory. (Growing fresh scratch
+// per join stalls in the kernel's page population and was the dominant
+// noise source on virtualized hosts.) Sized for the relations alone:
+// the native engine's tables live on the Go heap, not in the arena.
+func nativeBenchRelations(tb testing.TB) *workload.Pair {
 	nativeBenchOnce.Do(func() {
 		spec := nativeBenchSpec
 		if spec.NProbe == 0 {
@@ -60,41 +61,44 @@ func nativeBenchRelations(tb testing.TB) (*Relation, *Relation, *workload.Pair) 
 		}
 		tuples := uint64(spec.NBuild + spec.NProbe)
 		bytes := tuples*uint64(spec.TupleSize+12) + (1 << 20)
-		nativeBenchEnv = NewEnv(WithSmallHierarchy(), WithCapacity(bytes*11/10))
-		nativeBenchPair = workload.Generate(nativeBenchEnv.mem.A, spec)
-		nativeBenchBuild = &Relation{rel: nativeBenchPair.Build, env: nativeBenchEnv}
-		nativeBenchProbe = &Relation{rel: nativeBenchPair.Probe, env: nativeBenchEnv}
-		nativeBenchJoiner = NewNativeJoiner()
-		if _, err := nativeBenchJoiner.Join(nativeBenchBuild, nativeBenchProbe,
-			WithNativeScheme(Baseline), WithNativeFanout(1)); err != nil {
+		nativeBenchPair = workload.Generate(arena.New(bytes*11/10), spec)
+		nativeBenchJoiner = NewJoiner()
+		if _, err := nativeBenchJoiner.Join(nativeBenchPair.Build, nativeBenchPair.Probe,
+			Config{Scheme: Baseline, Fanout: 1}); err != nil {
 			panic(err)
 		}
 	})
-	if nativeBenchProbe.Len() < 1_000_000 {
-		tb.Fatalf("benchmark probe relation has %d tuples, want >= 1M", nativeBenchProbe.Len())
+	if n := nativeBenchPair.Probe.NTuples; n < 1_000_000 {
+		tb.Fatalf("benchmark probe relation has %d tuples, want >= 1M", n)
 	}
-	return nativeBenchBuild, nativeBenchProbe, nativeBenchPair
+	return nativeBenchPair
+}
+
+// benchJoin runs one validated join of the benchmark workload on the
+// resident Joiner.
+func benchJoin(tb testing.TB, pair *workload.Pair, cfg Config) Result {
+	r, err := nativeBenchJoiner.Join(pair.Build, pair.Probe, cfg)
+	if err != nil {
+		tb.Fatalf("scheme %v: %v", cfg.Scheme, err)
+	}
+	if r.NOutput != pair.ExpectedMatches || r.KeySum != pair.KeySum {
+		tb.Fatalf("scheme %v: wrong result: (%d, %d) want (%d, %d)",
+			cfg.Scheme, r.NOutput, r.KeySum, pair.ExpectedMatches, pair.KeySum)
+	}
+	return r
 }
 
 // benchmarkNative runs one scheme as a single partition pair.
 func benchmarkNative(b *testing.B, scheme Scheme) {
-	build, probe, pair := nativeBenchRelations(b)
+	pair := nativeBenchRelations(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var last NativeResult
+	var last Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		last, err = nativeBenchJoiner.Join(build, probe, WithNativeScheme(scheme), WithNativeFanout(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if last.NOutput != pair.ExpectedMatches || last.KeySum != pair.KeySum {
-			b.Fatalf("wrong result: (%d, %d) want (%d, %d)",
-				last.NOutput, last.KeySum, pair.ExpectedMatches, pair.KeySum)
-		}
+		last = benchJoin(b, pair, Config{Scheme: scheme, Fanout: 1})
 	}
 	b.StopTimer()
-	tuplesPerSec := float64(probe.Len()) / last.JoinTime.Seconds()
+	tuplesPerSec := float64(pair.Probe.NTuples) / last.JoinTime.Seconds()
 	b.ReportMetric(tuplesPerSec/1e6, "Mprobe/s")
 }
 
@@ -102,21 +106,15 @@ func BenchmarkNativeBaseline(b *testing.B)  { benchmarkNative(b, Baseline) }
 func BenchmarkNativeGroup(b *testing.B)     { benchmarkNative(b, Group) }
 func BenchmarkNativePipelined(b *testing.B) { benchmarkNative(b, Pipelined) }
 
-// BenchmarkNativeMorsel exercises the full pipeline — radix partitioning
+// BenchmarkNativeMorsel exercises the full join — radix partitioning
 // plus the morsel-driven worker pool — at a fan-out that gives every
 // core work.
 func BenchmarkNativeMorsel(b *testing.B) {
-	build, probe, pair := nativeBenchRelations(b)
+	pair := nativeBenchRelations(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := nativeBenchJoiner.Join(build, probe, WithNativeScheme(Group), WithNativeFanout(64))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.NOutput != pair.ExpectedMatches || r.KeySum != pair.KeySum {
-			b.Fatal("wrong result")
-		}
+		benchJoin(b, pair, Config{Scheme: Group, Fanout: 64})
 	}
 }
 
@@ -168,19 +166,11 @@ func medianDuration(ds []time.Duration) time.Duration {
 // is asymmetric (occasional 1.5-2x slow outliers), which makes
 // best-of-N an unstable estimator but leaves the median steady.
 func BenchmarkNativeSpeedup(b *testing.B) {
-	build, probe, pair := nativeBenchRelations(b)
+	pair := nativeBenchRelations(b)
 	var maxDepth int
 	run := func(s Scheme) time.Duration {
-		r, err := nativeBenchJoiner.Join(build, probe, WithNativeScheme(s), WithNativeFanout(1))
-		if err != nil {
-			b.Fatalf("scheme %v: %v", s, err)
-		}
-		if r.NOutput != pair.ExpectedMatches || r.KeySum != pair.KeySum {
-			b.Fatalf("scheme %v: wrong result", s)
-		}
-		if r.RecursionDepth > maxDepth {
-			maxDepth = r.RecursionDepth
-		}
+		r := benchJoin(b, pair, Config{Scheme: s, Fanout: 1})
+		maxDepth = max(maxDepth, r.RecursionDepth)
 		return r.JoinTime
 	}
 	const reps = 9
@@ -198,12 +188,12 @@ func BenchmarkNativeSpeedup(b *testing.B) {
 	b.StopTimer()
 
 	traj := nativeTrajectory{
-		NBuild:           nativeBenchBuild.Len(),
-		NProbe:           nativeBenchProbe.Len(),
+		NBuild:           pair.Build.NTuples,
+		NProbe:           pair.Probe.NTuples,
 		TupleSize:        nativeBenchSpec.TupleSize,
 		Fanout:           1,
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		PrefetchASM:      NativeHasPrefetch(),
+		PrefetchASM:      HavePrefetch,
 		RecursionDepth:   maxDepth,
 		BaselineMs:       float64(base.Microseconds()) / 1e3,
 		GroupMs:          float64(grp.Microseconds()) / 1e3,
@@ -215,7 +205,7 @@ func BenchmarkNativeSpeedup(b *testing.B) {
 	b.ReportMetric(traj.PipelinedSpeedup, "pipelined-speedup")
 
 	if doc, err := json.MarshalIndent(traj, "", "  "); err == nil {
-		if err := os.WriteFile("BENCH_native.json", append(doc, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(nativeBenchDoc, append(doc, '\n'), 0o644); err != nil {
 			b.Logf("BENCH_native.json not written: %v", err)
 		}
 	}

@@ -23,9 +23,9 @@ import (
 // reducible path therefore never returns *BudgetError; only Config.
 // NoSpill restores the old failure mode.
 
-// spillChunkPagesCap bounds how many build pages one chunk pins, so a
+// SpillChunkPagesCap bounds how many build pages one chunk pins, so a
 // huge budget does not translate into a huge buffer pool.
-const spillChunkPagesCap = 256
+const SpillChunkPagesCap = 256
 
 // spillState is the per-Join spill coordinator, shared by all morsel
 // workers of one Joiner.Join call. The Manager (and its temp directory)
@@ -97,7 +97,7 @@ func (sp *spillState) page() int {
 
 // chunkPages returns how many build pages one chunk pins: the largest
 // count whose tuples' pages + entries + hash table fit the budget,
-// clamped to [1, spillChunkPagesCap]. Even chunkPages == 1 always makes
+// clamped to [1, SpillChunkPagesCap]. Even chunkPages == 1 always makes
 // progress — that is why the spill tier cannot fail on size.
 func (sp *spillState) chunkPages() int {
 	pageSize := sp.page()
@@ -107,8 +107,8 @@ func (sp *spillState) chunkPages() int {
 	if n < 1 {
 		n = 1
 	}
-	if n > spillChunkPagesCap {
-		n = spillChunkPagesCap
+	if n > SpillChunkPagesCap {
+		n = SpillChunkPagesCap
 	}
 	return n
 }

@@ -8,23 +8,11 @@ import (
 	"hashjoin/internal/workload"
 )
 
-// relationsFor materializes a workload inside an Env's arena and wraps
-// the relations for both backends, so env.Join and NativeJoin consume
-// the exact same pages.
-func relationsFor(t testing.TB, spec workload.Spec) (*Env, *Relation, *Relation, *workload.Pair) {
-	t.Helper()
-	env := NewEnv(WithSmallHierarchy(), WithCapacity(workload.ArenaBytesFor(spec)*2))
-	pair := workload.Generate(env.mem.A, spec)
-	return env,
-		&Relation{rel: pair.Build, env: env},
-		&Relation{rel: pair.Probe, env: env},
-		pair
-}
-
 // TestNativeSimParity joins the same seeded workloads through the
-// simulator (env.Join) and the native engine (NativeJoin) for every
-// scheme, asserting identical NOutput and KeySum — the two backends'
-// output-compatibility contract.
+// simulator (env.Join) and the native engine (a native RunPipeline) for
+// every scheme, asserting identical NOutput and KeySum — the two
+// backends' output-compatibility contract. Both read the same pages of
+// one Env's arena.
 func TestNativeSimParity(t *testing.T) {
 	specs := []workload.Spec{
 		{NBuild: 4000, TupleSize: 36, MatchesPerBuild: 2, PctMatched: 100, Seed: 1},
@@ -48,13 +36,13 @@ func TestNativeSimParity(t *testing.T) {
 	for si, spec := range specs {
 		for _, scheme := range []Scheme{Baseline, Simple, Group, Pipelined} {
 			t.Run(fmt.Sprintf("spec%d/%v", si, scheme), func(t *testing.T) {
-				env, build, probe, pair := relationsFor(t, spec)
+				env, build, probe, pair := pipelineTestEnv(t, spec)
 				sim, err := env.Join(build, probe, WithScheme(scheme))
 				if err != nil {
 					t.Fatalf("sim join: %v", err)
 				}
-				nat, err := NativeJoin(build, probe,
-					WithNativeScheme(scheme), WithNativeWorkers(4))
+				nat, err := env.RunPipeline(build, probe, WithEngine(EngineNative),
+					WithPipelineScheme(scheme), WithPipelineWorkers(4), WithPipelineFanout(1))
 				if err != nil {
 					t.Fatalf("native join: %v", err)
 				}
@@ -79,7 +67,7 @@ func TestNativeSimParityPartitioned(t *testing.T) {
 	spec := workload.Spec{NBuild: 12000, TupleSize: 28, MatchesPerBuild: 2, PctMatched: 90, Seed: 11}
 	for _, scheme := range []Scheme{Baseline, Group, Pipelined} {
 		t.Run(scheme.String(), func(t *testing.T) {
-			env, build, probe, pair := relationsFor(t, spec)
+			env, build, probe, pair := pipelineTestEnv(t, spec)
 			sim, err := env.Join(build, probe, WithScheme(scheme), WithMemBudget(64<<10))
 			if err != nil {
 				t.Fatalf("sim join: %v", err)
@@ -87,13 +75,13 @@ func TestNativeSimParityPartitioned(t *testing.T) {
 			if sim.NPartitions < 2 {
 				t.Fatalf("budget did not force partitioning (%d partitions)", sim.NPartitions)
 			}
-			nat, err := NativeJoin(build, probe,
-				WithNativeScheme(scheme), WithNativeFanout(16), WithNativeWorkers(8))
+			nat, err := env.RunPipeline(build, probe, WithEngine(EngineNative),
+				WithPipelineScheme(scheme), WithPipelineFanout(16), WithPipelineWorkers(8))
 			if err != nil {
 				t.Fatalf("native join: %v", err)
 			}
-			if nat.NPartitions != 16 {
-				t.Fatalf("native fanout = %d, want 16", nat.NPartitions)
+			if nat.JoinFanout != 16 {
+				t.Fatalf("native fanout = %d, want 16", nat.JoinFanout)
 			}
 			if nat.NOutput != pair.ExpectedMatches || nat.KeySum != pair.KeySum {
 				t.Fatalf("native (%d, %d) != expected (%d, %d)",
@@ -108,7 +96,8 @@ func TestNativeSimParityPartitioned(t *testing.T) {
 }
 
 // TestNativeJoinPublicAPI exercises the documented public path: relations
-// built tuple by tuple through Env.NewRelation/Append.
+// built tuple by tuple through Env.NewRelation/Append, joined natively
+// through RunPipeline.
 func TestNativeJoinPublicAPI(t *testing.T) {
 	env := NewEnv(WithSmallHierarchy(), WithCapacity(32<<20))
 	build := env.NewRelation(40)
@@ -122,31 +111,14 @@ func TestNativeJoinPublicAPI(t *testing.T) {
 		probe.Append(k, payload)
 		wantSum += 2 * uint64(k)
 	}
-	r, err := NativeJoin(build, probe)
+	r, err := env.RunPipeline(build, probe, WithEngine(EngineNative))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.NOutput != 10000 || r.KeySum != wantSum {
-		t.Fatalf("NativeJoin = (%d, %d), want (10000, %d)", r.NOutput, r.KeySum, wantSum)
+		t.Fatalf("native RunPipeline = (%d, %d), want (10000, %d)", r.NOutput, r.KeySum, wantSum)
 	}
-	if r.Elapsed <= 0 || r.NPartitions < 1 || r.Workers < 1 {
+	if r.Elapsed <= 0 || r.JoinFanout < 1 {
 		t.Fatalf("implausible result metadata: %+v", r)
 	}
-	if got := r.Breakdown(); got == "" {
-		t.Fatal("empty breakdown")
-	}
-}
-
-// TestNativeJoinRejectsForeignEnv guards the shared-arena precondition.
-func TestNativeJoinRejectsForeignEnv(t *testing.T) {
-	e1 := NewEnv(WithSmallHierarchy(), WithCapacity(4<<20))
-	e2 := NewEnv(WithSmallHierarchy(), WithCapacity(4<<20))
-	b := e1.NewRelation(16)
-	p := e2.NewRelation(16)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-Env NativeJoin did not panic")
-		}
-	}()
-	NativeJoin(b, p)
 }

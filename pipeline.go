@@ -11,14 +11,12 @@ package hashjoin
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"hashjoin/internal/engine"
 	"hashjoin/internal/native"
 	"hashjoin/internal/plan"
 	"hashjoin/internal/sched"
-	"hashjoin/internal/spill"
 )
 
 // Engine selects the execution backend for RunPipeline.
@@ -222,44 +220,17 @@ type PipelineResult struct {
 	Stats   Stats         // EngineSim: cycle breakdown of this run
 	Elapsed time.Duration // EngineNative: wall clock of this run
 
-	// JoinFanout is the partition count the native join actually used
-	// (1 for the streaming strategy); JoinRecursionDepth is how deep the
-	// budget degradation had to re-partition oversized pairs (0: none).
-	JoinFanout         int
-	JoinRecursionDepth int
+	// Report carries the native join's execution detail: effective
+	// fan-out, recursion depth, morsels executed, spill I/O and stalls,
+	// spill failovers and rebuilds, and hybrid residency and demotion.
+	// All zero on EngineSim.
+	engine.Report
 
-	// SpilledPartitions counts the partition pairs the native join
-	// completed out of core (0: everything fit in memory). The byte
-	// totals cover the spill tier's file I/O — reads can exceed writes
-	// because the probe partition is re-read once per build chunk — and
-	// the stalls are the latency write-behind and read-ahead failed to
-	// hide.
-	SpilledPartitions int
-	SpillBytesWritten int64
-	SpillBytesRead    int64
-	SpillWriteStall   time.Duration
-	SpillReadStall    time.Duration
-	// SpillFailovers counts spill directories declared failed mid-join;
-	// SpillRebuilds counts partitions rebuilt from their in-memory
-	// source after a failed or corrupt spill file.
-	SpillFailovers int64
-	SpillRebuilds  int64
-
-	// Hybrid-policy accounting (WithPipelineHybrid): partition pairs
-	// joined fully in memory, planned-resident pairs demoted to disk by
-	// a mid-join advisory budget shrink, and the demoted pairs' summed
-	// build footprints. All zero without the hybrid policy.
-	ResidentPartitions int
-	DemotedPartitions  int
-	BytesDemoted       int64
-
-	// Service-mode accounting: how long admission queued the run, the
-	// scratch window it was granted (0 for exclusive/simulated runs),
-	// and how many partition-pair morsels the shared pool executed for
-	// it. All zero outside service mode.
-	QueueWait       time.Duration
-	AdmittedBytes   uint64
-	MorselsExecuted int
+	// Service-mode accounting: how long admission queued the run and the
+	// scratch window it was granted (0 for exclusive/simulated runs).
+	// Both zero outside service mode.
+	QueueWait     time.Duration
+	AdmittedBytes uint64
 
 	// Plan reports the strategy decision and its inputs when the planner
 	// was consulted (WithStrategy); nil otherwise.
@@ -327,7 +298,7 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		if !req.Exclusive {
 			req.Planned = pc.planned
 			if req.Planned == 0 {
-				req.Planned = e.plannedScratch(&pc, build, probe)
+				req.Planned = plannedScratch(&pc, build, probe)
 			}
 		}
 		g, aerr := e.svc.Admit(ctx, req)
@@ -407,7 +378,6 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		res.Plan = &dec
 	}
 
-	var report engine.Report
 	cfg := engine.Config{
 		Backend:       pc.engine,
 		Mem:           e.mem,
@@ -428,7 +398,7 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 		Hybrid:        pc.hybrid,
 		BudgetNow:     budgetNow,
 		Build:         cachedBuild,
-		Report:        &report,
+		Report:        &res.Report,
 		Ctx:           ctx,
 	}
 
@@ -444,7 +414,7 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 	if pc.hasAgg {
 		groups, gerr := engine.Groups(root, a)
 		if gerr != nil {
-			err = wrapCancel(gerr, time.Since(start))
+			err = native.WrapCancel(gerr, time.Since(start))
 			return PipelineResult{}, err
 		}
 		for _, g := range groups {
@@ -455,7 +425,7 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 	} else {
 		r, rerr := engine.Run(root, a)
 		if rerr != nil {
-			err = wrapCancel(rerr, time.Since(start))
+			err = native.WrapCancel(rerr, time.Since(start))
 			return PipelineResult{}, err
 		}
 		res.NOutput, res.KeySum = r.NRows, r.KeySum
@@ -466,59 +436,26 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 	case EngineNative:
 		res.Elapsed = time.Since(start)
 	}
-	res.JoinFanout = report.JoinFanout
-	res.JoinRecursionDepth = report.JoinRecursionDepth
-	res.SpilledPartitions = report.SpilledPartitions
-	res.SpillBytesWritten = report.SpillBytesWritten
-	res.SpillBytesRead = report.SpillBytesRead
-	res.SpillWriteStall = report.SpillWriteStall
-	res.SpillReadStall = report.SpillReadStall
-	res.SpillFailovers = report.SpillFailovers
-	res.SpillRebuilds = report.SpillRebuilds
-	res.ResidentPartitions = report.ResidentPartitions
-	res.DemotedPartitions = report.DemotedPartitions
-	res.BytesDemoted = report.BytesDemoted
-	res.MorselsExecuted = report.MorselsExecuted
 	return res, nil
 }
 
-// plannedScratch estimates a native pipeline run's arena scratch for
-// admission, mirroring the cli planner's model: the streaming join's
-// output ring, the morsel pipe buffers (2·workers+4 batches of
-// concatenated rows), aggregate staging, the spill tier's page pool
-// when it can engage, and page-rounding slack. The admission floor
-// (256 KB) covers the small end; WithPlannedScratch overrides the
-// whole estimate.
-func (e *Env) plannedScratch(pc *pipelineConfig, build, probe *Relation) uint64 {
-	outWidth := uint64(build.rel.Schema.FixedWidth() + probe.rel.Schema.FixedWidth())
-	batch := pc.params.G
-	if batch < native.DefaultG {
-		batch = native.DefaultG
+// plannedScratch estimates a native run's arena scratch for admission.
+// Without the workload's ground truth the output ring assumes a
+// moderately skewed 8 matches per probe tuple; heavier skew should
+// declare WithPlannedScratch.
+func plannedScratch(pc *pipelineConfig, build, probe *Relation) uint64 {
+	s := engine.Scratch{
+		OutWidth:      build.rel.Schema.FixedWidth() + probe.rel.Schema.FixedWidth(),
+		Batch:         pc.params.G,
+		Workers:       pc.workers,
+		RingMatches:   8,
+		MemBudget:     pc.memBudget,
+		NoSpill:       pc.noSpill,
+		SpillWorkers:  pc.spillWorkers,
+		SpillPageSize: pc.spillPageSize,
 	}
-	workers := pc.workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The output ring holds one probe batch's matches; without the
-	// workload's ground truth assume a moderately skewed 8 matches per
-	// probe tuple. Heavier skew should declare WithPlannedScratch.
-	ring := uint64(batch*8) * outWidth
-	pipeBufs := uint64(2*workers+4) * uint64(batch) * outWidth
-	var aggStaging uint64
 	if pc.hasAgg {
-		aggStaging = uint64(build.rel.NTuples) * engine.AggTupleWidth
+		s.AggRows = build.rel.NTuples
 	}
-	var spillPool uint64
-	if pc.memBudget > 0 && !pc.noSpill {
-		sw := pc.spillWorkers
-		if sw < 1 {
-			sw = spill.DefaultWorkers
-		}
-		chunk := pc.memBudget/spill.DefaultPageSize + 1
-		if chunk > 256 {
-			chunk = 256
-		}
-		spillPool = uint64(chunk+3*sw+4)*uint64(spill.DefaultPageSize) + (64 << 10)
-	}
-	return ring + pipeBufs + aggStaging + spillPool + (64 << 10)
+	return engine.PlannedScratch(s)
 }
