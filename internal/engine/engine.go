@@ -21,9 +21,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hashjoin/internal/arena"
@@ -295,10 +296,11 @@ const (
 	filterNode
 	joinNode
 	aggNode
+	projNode
 )
 
 // Node is one logical plan operator. Build plans with Scan, Filter,
-// HashJoin, and HashAggregate, then Compile against a Config.
+// HashJoin, HashAggregate, and Project, then Compile against a Config.
 type Node struct {
 	kind nodeKind
 
@@ -312,6 +314,8 @@ type Node struct {
 
 	valueOff int // aggNode: byte offset of the summed 4-byte value
 	groups   int // aggNode: expected group count (table sizing)
+
+	bytes int // projNode: leading bytes kept
 }
 
 // Pred is a declarative row predicate both backends can evaluate: it
@@ -366,6 +370,19 @@ func HashAggregate(input *Node, valueOff, expectedGroups int) *Node {
 	return &Node{kind: aggNode, input: input, valueOff: valueOff, groups: expectedGroups}
 }
 
+// Project keeps the leading bytes of each input row: its rows are the
+// input's first bytes bytes, which must cover the 4-byte key. It is a
+// plan-only node with no operator of its own: Compile pushes the width
+// down, and the native join beneath it writes only that prefix of each
+// output row (see compileNode).
+func Project(input *Node, bytes int) *Node {
+	if bytes < 4 || bytes > input.Width() {
+		panic(fmt.Sprintf("engine: projection of %d bytes outside the key and the %d-byte input row",
+			bytes, input.Width()))
+	}
+	return &Node{kind: projNode, input: input, bytes: bytes}
+}
+
 // Width returns the node's fixed output row width in bytes.
 func (n *Node) Width() int {
 	switch n.kind {
@@ -380,6 +397,8 @@ func (n *Node) Width() int {
 		return n.build.Width() + n.input.Width()
 	case aggNode:
 		return AggTupleWidth
+	case projNode:
+		return n.bytes
 	default:
 		panic("engine: unknown node kind")
 	}
@@ -519,49 +538,72 @@ func Compile(n *Node, cfg Config) (Operator, error) {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
-	return compileNode(n, cfg), nil
+	return compileNode(n, cfg, n.Width()), nil
 }
 
-func compileNode(n *Node, cfg Config) Operator {
+// compileNode lowers n given need, the number of leading bytes of n's
+// rows its parent reads; every operator emits rows with Len == need, and
+// only bytes [0, need) are defined. The root needs its full width, so an
+// unprojected plan's rows are whole. A Filter passes its parent's need
+// through, a Project narrows it, join inputs need their full width, and
+// a HashAggregate needs its input's key and value — natively. The
+// simulated aggregate materializes its input as a timed relation (part
+// of the reproduced cost model), so on Sim it still needs whole rows,
+// and the simulated joins keep their timed full-row writes: there a
+// projection only narrows Row.Len.
+func compileNode(n *Node, cfg Config, need int) Operator {
 	switch n.kind {
 	case scanNode:
 		if cfg.Backend == Sim {
 			s := newSimScan(cfg.Mem, n.rel, cfg.batchSize())
-			s.ctx = cfg.Ctx
+			s.width, s.ctx = int32(need), cfg.Ctx
 			return s
 		}
 		s := newNativeScan(cfg.A, n.rel, cfg.batchSize())
-		s.ctx = cfg.Ctx
+		s.width, s.ctx = int32(need), cfg.Ctx
 		return s
+	case projNode:
+		return compileNode(n.input, cfg, need)
 	case filterNode:
-		child := compileNode(n.input, cfg)
+		child := compileNode(n.input, cfg, need)
 		if cfg.Backend == Sim {
 			return newSimFilter(cfg.Mem, child, n.pred, cfg.batchSize())
 		}
 		return newNativeFilter(cfg.A, child, n.pred, cfg.batchSize())
 	case joinNode:
-		build := compileNode(n.build, cfg)
-		probe := compileNode(n.input, cfg)
+		build := compileNode(n.build, cfg, n.build.Width())
+		probe := compileNode(n.input, cfg, n.input.Width())
 		if cfg.Strategy == plan.NestedLoop {
-			return newNestedLoopJoin(cfg, build, probe,
+			nl := newNestedLoopJoin(cfg, build, probe,
 				n.build.scanRel(), n.joinType, n.build.Width(), n.input.Width())
+			nl.need = need
+			return nl
 		}
 		if cfg.Backend == Sim {
-			return newSimHashJoin(cfg.Mem, build, probe,
+			h := newSimHashJoin(cfg.Mem, build, probe,
 				n.build.scanRel(), n.build.Width(), n.input.Width(), cfg.Params, n.joinType)
+			h.need = int32(need)
+			return h
 		}
 		if cfg.Strategy == plan.StreamHash {
 			cfg.Fanout = 1 // pin the single-table streaming path
 		}
-		return newNativeHashJoin(cfg, build, probe,
+		h := newNativeHashJoin(cfg, build, probe,
 			n.build.scanRel(), n.input.scanRel(), n.build.Width(), n.input.Width(), n.joinType)
+		h.outWidth = need
+		return h
 	case aggNode:
-		child := compileNode(n.input, cfg)
 		if cfg.Backend == Sim {
-			return newSimHashAggregate(cfg.Mem, child, n.input.scanRel(),
+			child := compileNode(n.input, cfg, n.input.Width())
+			ha := newSimHashAggregate(cfg.Mem, child, n.input.scanRel(),
 				n.input.Width(), n.valueOff, n.groups, cfg.Scheme, cfg.Params)
+			ha.need = int32(need)
+			return ha
 		}
-		return newNativeHashAggregate(cfg, child, n.input.Width(), n.valueOff, n.groups)
+		child := compileNode(n.input, cfg, n.valueOff+4)
+		ha := newNativeHashAggregate(cfg, child, n.input.Width(), n.valueOff, n.groups)
+		ha.need = int32(need)
+		return ha
 	default:
 		panic("engine: unknown node kind")
 	}
@@ -650,7 +692,7 @@ func Groups(root Operator, a *arena.Arena) (out []Group, err error) {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(x, y Group) int { return cmp.Compare(x.Key, y.Key) })
 	return out, nil
 }
 

@@ -127,7 +127,10 @@ func groupCounts(gs []Group) map[uint32]uint64 {
 // single-table join (stream and nested-loop), and the morsel path. The
 // workload generator's own ground truth is deliberately not used: the
 // reference re-derives the answer from the tuples, so a generator bug
-// cannot mask an engine bug.
+// cannot mask an engine bug. Each case also drains the join under
+// Project(…, 4) with Run — the plan RunPipeline compiles without an
+// aggregate — and checks its row count and key sum against the same
+// reference.
 func FuzzJoinTypeParity(f *testing.F) {
 	f.Add(uint8(0), uint8(40), uint8(50), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(33), uint8(0), uint8(2), uint8(1), int64(2))  // left-outer, skewed build
@@ -149,7 +152,13 @@ func FuzzJoinTypeParity(f *testing.F) {
 		}
 		pair, a, m := testEnv(t, spec)
 		want := nestedLoopReference(jt, relKeys(pair.Build), relKeys(pair.Probe))
-		logical := HashAggregate(HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt), 4, nBuild)
+		var wantRun Result
+		for k, n := range want {
+			wantRun.NRows += int(n)
+			wantRun.KeySum += uint64(k) * n
+		}
+		join := HashJoinTyped(Scan(pair.Build), Scan(pair.Probe), jt)
+		logical := HashAggregate(join, 4, nBuild)
 
 		fanout := 1 << (int(fanoutRaw) % 3) // 1 (streaming), 2, 4 (morsel)
 		cfgs := map[string]Config{
@@ -166,6 +175,10 @@ func FuzzJoinTypeParity(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v %s fanout=%d n=%d mr=%.2f: %d groups vs reference %d",
 					jt, name, fanout, nBuild, spec.MatchRate, len(got), len(want))
+			}
+			if got := mustRun(t, Project(join, 4), cfg, a); got != wantRun {
+				t.Fatalf("%v %s fanout=%d n=%d mr=%.2f: Project(4)+Run = %+v, reference %+v",
+					jt, name, fanout, nBuild, spec.MatchRate, got, wantRun)
 			}
 		}
 	})

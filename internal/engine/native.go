@@ -7,7 +7,10 @@ package engine
 // streams through a resident table one batch (= one prefetch group) at
 // a time; with Fanout > 1 both sides are radix-partitioned and joined
 // under morsel-driven parallelism, the workers packing matches into
-// output batches that feed the downstream pipeline.
+// output batches that feed the downstream pipeline. Either way a match
+// writes only the leading bytes of its output row that the parent reads
+// (see compileNode): the aggregate above a join reads its key and one
+// value, so the rest of the build and probe tuples is never copied.
 
 import (
 	"context"
@@ -27,6 +30,7 @@ type nativeScan struct {
 	a     *arena.Arena
 	rel   *storage.Relation
 	batch int
+	width int32           // Row.Len: the leading bytes the parent reads
 	ctx   context.Context // nil: never cancelled
 
 	pageIdx int
@@ -36,7 +40,7 @@ type nativeScan struct {
 }
 
 func newNativeScan(a *arena.Arena, rel *storage.Relation, batch int) *nativeScan {
-	return &nativeScan{a: a, rel: rel, batch: batch, pageIdx: -1}
+	return &nativeScan{a: a, rel: rel, batch: batch, width: int32(rel.Schema.FixedWidth()), pageIdx: -1}
 }
 
 func (s *nativeScan) Open() error { s.pageIdx = -1; s.slotIdx = 0; s.nslots = 0; return nil }
@@ -65,7 +69,7 @@ func (s *nativeScan) NextBatch(b *Batch) (bool, error) {
 		b.Rows = append(b.Rows, Row{
 			Addr: s.page + arena.Addr(s.a.U16(slot+storage.SlotOffOffset)),
 			Code: s.a.U32(slot + storage.SlotOffHash),
-			Len:  int32(s.a.U16(slot + storage.SlotOffLength)),
+			Len:  s.width,
 		})
 	}
 	return true, nil
@@ -169,8 +173,8 @@ type pipeBuf struct {
 }
 
 // nativeHashJoin joins natively in one of two modes (see the file
-// comment). Both deliver the concatenated build||probe rows in batches
-// of at most G.
+// comment). Both deliver the leading outWidth bytes of the concatenated
+// build||probe rows in batches of at most G.
 type nativeHashJoin struct {
 	cfg        Config
 	a          *arena.Arena
@@ -181,7 +185,7 @@ type nativeHashJoin struct {
 	probeRel   *storage.Relation // non-nil: probe child is a plain scan
 	buildWidth int
 	probeWidth int
-	outWidth   int
+	outWidth   int // bytes written per output row: the parent's need
 	batch      int
 	jt         plan.JoinType
 
@@ -356,26 +360,30 @@ func (h *nativeHashJoin) fillPending() error {
 	return nil
 }
 
-// writeMatch materializes one output row at dst per the join type's
-// sink contract: build bytes come straight from the row table's
-// serialized row (the build relation is never touched on the probe
-// path); a nil build means no build row (probe-only output, or a
-// left-outer null pad), probeRef 0 means no probe row (a right-outer
-// sweep row, probe half null-padded).
+// writeMatch materializes the leading outWidth bytes of one output row
+// at dst per the join type's sink contract: build bytes come straight
+// from the row table's serialized row (the build relation is never
+// touched on the probe path); a nil build means no build row (probe-only
+// output, or a left-outer null pad), probeRef 0 means no probe row (a
+// right-outer sweep row, probe half null-padded). Probe bytes are read
+// only when the prefix reaches past the build half.
 func (h *nativeHashJoin) writeMatch(dst arena.Addr, build []byte, pref uint64) Row {
-	d := h.data[dst-arena.Base:]
+	d := h.data[dst-arena.Base:][:h.outWidth]
 	if h.jt.ProbeOnly() {
-		copy(d[:h.outWidth], h.data[pref-arena.Base:])
+		copy(d, h.data[pref-arena.Base:])
 	} else {
+		bw := min(h.buildWidth, h.outWidth)
 		if build == nil {
-			clear(d[:h.buildWidth])
+			clear(d[:bw])
 		} else {
-			copy(d[:h.buildWidth], build)
+			copy(d[:bw], build)
 		}
-		if pref == 0 {
-			clear(d[h.buildWidth:h.outWidth])
-		} else {
-			copy(d[h.buildWidth:h.outWidth], h.data[pref-arena.Base:])
+		if rest := d[bw:]; len(rest) > 0 {
+			if pref == 0 {
+				clear(rest)
+			} else {
+				copy(rest, h.data[pref-arena.Base:])
+			}
 		}
 	}
 	key := binary.LittleEndian.Uint32(d)
@@ -581,6 +589,7 @@ type nativeHashAggregate struct {
 	childWidth int
 	valueOff   int
 	groups     int
+	need       int32 // Row.Len: the leading bytes the parent reads
 
 	rows        []Row
 	next        int
@@ -595,7 +604,7 @@ func newNativeHashAggregate(cfg Config, child Operator, childWidth, valueOff, gr
 	}
 	return &nativeHashAggregate{
 		cfg: cfg, a: cfg.A, child: child, childWidth: childWidth,
-		valueOff: valueOff, groups: groups, batch: cfg.batchSize(),
+		valueOff: valueOff, groups: groups, need: AggTupleWidth, batch: cfg.batchSize(),
 	}
 }
 
@@ -651,7 +660,7 @@ func (ha *nativeHashAggregate) Open() error {
 		ha.a.PutU32(addr, key)
 		ha.a.PutU64(addr+8, count)
 		ha.a.PutU64(addr+16, sum)
-		ha.rows = append(ha.rows, Row{Addr: addr, Len: AggTupleWidth, Code: hash.CodeU32(key)})
+		ha.rows = append(ha.rows, Row{Addr: addr, Len: ha.need, Code: hash.CodeU32(key)})
 		addr += AggTupleWidth
 	})
 	return nil

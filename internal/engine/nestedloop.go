@@ -7,7 +7,9 @@ package engine
 // linearly — no hash codes, no directory, no prefetching, which is
 // exactly why it wins below the crossover: the whole build side is a
 // couple of cache lines. One operator serves both backends; on Sim
-// every data access is timed, on Native it is plain memory.
+// every data access is timed and output rows are written whole, on
+// Native it is plain memory and only the projected prefix of each
+// output row is written (see compileNode).
 
 import (
 	"hashjoin/internal/arena"
@@ -31,7 +33,8 @@ type nestedLoopJoin struct {
 	jt         plan.JoinType
 	buildWidth int
 	probeWidth int
-	outWidth   int
+	outWidth   int // full output row width
+	need       int // Row.Len: the leading bytes the parent reads
 	batch      int
 
 	buildAddrs   []arena.Addr
@@ -60,7 +63,7 @@ func newNestedLoopJoin(cfg Config, build, probe Operator, buildRel *storage.Rela
 		a: cfg.A, buildChild: build, probeChild: probe, buildRel: buildRel,
 		report: cfg.Report, jt: jt,
 		buildWidth: buildWidth, probeWidth: probeWidth,
-		outWidth: outWidth, batch: cfg.batchSize(),
+		outWidth: outWidth, need: outWidth, batch: cfg.batchSize(),
 	}
 	if cfg.Backend == Sim {
 		nl.m = cfg.Mem
@@ -201,31 +204,41 @@ func (nl *nestedLoopJoin) sweepUnmatchedBuild() {
 			continue
 		}
 		dst := nl.allocOut()
-		nl.copyBytes(dst, addr, nl.buildWidth)
-		nl.zeroBytes(dst+arena.Addr(nl.buildWidth), nl.probeWidth)
+		nl.copyBytes(dst, addr, nl.span(0, nl.buildWidth))
+		nl.zeroBytes(dst+arena.Addr(nl.buildWidth), nl.span(nl.buildWidth, nl.probeWidth))
 		nl.pending = append(nl.pending, Row{
-			Addr: dst, Len: int32(nl.outWidth), Code: hash.CodeU32(nl.buildKeys[i])})
+			Addr: dst, Len: int32(nl.need), Code: hash.CodeU32(nl.buildKeys[i])})
 	}
 }
 
 func (nl *nestedLoopJoin) emitPair(build arena.Addr, r Row, key uint32) {
 	dst := nl.allocOut()
-	nl.copyBytes(dst, build, nl.buildWidth)
-	nl.copyBytes(dst+arena.Addr(nl.buildWidth), r.Addr, int(r.Len))
-	nl.pending = append(nl.pending, Row{Addr: dst, Len: int32(nl.outWidth), Code: hash.CodeU32(key)})
+	nl.copyBytes(dst, build, nl.span(0, nl.buildWidth))
+	nl.copyBytes(dst+arena.Addr(nl.buildWidth), r.Addr, nl.span(nl.buildWidth, int(r.Len)))
+	nl.pending = append(nl.pending, Row{Addr: dst, Len: int32(nl.need), Code: hash.CodeU32(key)})
 }
 
 func (nl *nestedLoopJoin) emitProbeOnly(r Row, key uint32) {
 	dst := nl.allocOut()
-	nl.copyBytes(dst, r.Addr, int(r.Len))
-	nl.pending = append(nl.pending, Row{Addr: dst, Len: int32(nl.outWidth), Code: hash.CodeU32(key)})
+	nl.copyBytes(dst, r.Addr, nl.span(0, int(r.Len)))
+	nl.pending = append(nl.pending, Row{Addr: dst, Len: int32(nl.need), Code: hash.CodeU32(key)})
 }
 
 func (nl *nestedLoopJoin) emitNullBuild(r Row) {
 	dst := nl.allocOut()
-	nl.zeroBytes(dst, nl.buildWidth)
-	nl.copyBytes(dst+arena.Addr(nl.buildWidth), r.Addr, int(r.Len))
-	nl.pending = append(nl.pending, Row{Addr: dst, Len: int32(nl.outWidth), Code: hash.CodeU32(0)})
+	nl.zeroBytes(dst, nl.span(0, nl.buildWidth))
+	nl.copyBytes(dst+arena.Addr(nl.buildWidth), r.Addr, nl.span(nl.buildWidth, int(r.Len)))
+	nl.pending = append(nl.pending, Row{Addr: dst, Len: int32(nl.need), Code: hash.CodeU32(0)})
+}
+
+// span clips the n output bytes at row offset off to those this backend
+// writes: all of them on Sim, where the timed full-row write is part of
+// the cost model, and those inside the parent's need natively.
+func (nl *nestedLoopJoin) span(off, n int) int {
+	if nl.m != nil {
+		return n
+	}
+	return max(0, min(n, nl.need-off))
 }
 
 func (nl *nestedLoopJoin) allocOut() arena.Addr {
@@ -234,7 +247,7 @@ func (nl *nestedLoopJoin) allocOut() arena.Addr {
 		if nl.m != nil {
 			addr = nl.m.Alloc(uint64(nl.outWidth), 8)
 		} else {
-			addr = nl.a.Alloc(uint64(nl.outWidth), 8)
+			addr = nl.a.Alloc(uint64(nl.need), 8)
 		}
 		nl.out = append(nl.out, addr)
 	}
@@ -255,12 +268,18 @@ func (nl *nestedLoopJoin) copyBytes(dst, src arena.Addr, n int) {
 		nl.m.Copy(dst, src, n)
 		return
 	}
+	if n == 0 {
+		return // clipped away: dst may lie past the projected slot
+	}
 	copy(nl.data[dst-arena.Base:dst-arena.Base+uint64(n)], nl.data[src-arena.Base:])
 }
 
 func (nl *nestedLoopJoin) zeroBytes(dst arena.Addr, n int) {
 	if nl.m != nil {
 		nullPadSim(nl.m, dst, n)
+		return
+	}
+	if n == 0 {
 		return
 	}
 	clear(nl.data[dst-arena.Base : dst-arena.Base+uint64(n)])

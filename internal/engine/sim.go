@@ -25,6 +25,7 @@ type simScan struct {
 	m     *vmem.Mem
 	rel   *storage.Relation
 	batch int
+	width int32           // Row.Len: the leading bytes the parent reads
 	ctx   context.Context // nil: never cancelled
 
 	pageIdx int
@@ -34,7 +35,7 @@ type simScan struct {
 }
 
 func newSimScan(m *vmem.Mem, rel *storage.Relation, batch int) *simScan {
-	return &simScan{m: m, rel: rel, batch: batch, pageIdx: -1}
+	return &simScan{m: m, rel: rel, batch: batch, width: int32(rel.Schema.FixedWidth()), pageIdx: -1}
 }
 
 func (s *simScan) Open() error { s.pageIdx = -1; s.slotIdx = 0; s.nslots = 0; return nil }
@@ -63,12 +64,11 @@ func (s *simScan) NextBatch(b *Batch) (bool, error) {
 		s.slotIdx++
 		s.m.S.Read(slot, storage.SlotSize)
 		off := s.m.A.U16(slot + storage.SlotOffOffset)
-		length := s.m.A.U16(slot + storage.SlotOffLength)
 		code := s.m.A.U32(slot + storage.SlotOffHash)
 		b.Rows = append(b.Rows, Row{
 			Addr: s.page + arena.Addr(off),
 			Code: code,
-			Len:  int32(length),
+			Len:  s.width,
 		})
 	}
 	return true, nil
@@ -180,7 +180,9 @@ func materializeSim(m *vmem.Mem, op Operator, width, pageSize int) (*storage.Rel
 // a plain scan, otherwise a timed materialization (closing the build
 // child either way) — and constructs the hash table; NextBatch then
 // probes one child batch per group-prefetched pass and yields the
-// concatenated build||probe rows.
+// concatenated build||probe rows. Every output row is written whole, as
+// a timed store, whatever the parent reads: the writes are part of the
+// reproduced cost model, so a projection only narrows Row.Len.
 type simHashJoin struct {
 	m          *vmem.Mem
 	buildChild Operator
@@ -189,6 +191,7 @@ type simHashJoin struct {
 	buildWidth int
 	probeWidth int
 	outWidth   int
+	need       int32 // Row.Len: the leading bytes the parent reads
 	params     core.Params
 	jt         plan.JoinType
 
@@ -212,10 +215,16 @@ type simHashJoin struct {
 
 func newSimHashJoin(m *vmem.Mem, build, probe Operator, buildRel *storage.Relation,
 	buildWidth, probeWidth int, params core.Params, jt plan.JoinType) *simHashJoin {
-	return &simHashJoin{
+	h := &simHashJoin{
 		m: m, buildChild: build, probeChild: probe, buildRel: buildRel,
 		buildWidth: buildWidth, probeWidth: probeWidth, params: params, jt: jt,
 	}
+	h.outWidth = buildWidth + probeWidth
+	if jt.ProbeOnly() {
+		h.outWidth = probeWidth
+	}
+	h.need = int32(h.outWidth)
+	return h
 }
 
 func (h *simHashJoin) Open() error {
@@ -236,10 +245,6 @@ func (h *simHashJoin) Open() error {
 	h.prober = core.NewProber(h.m, rel, h.params)
 	if err := h.probeChild.Open(); err != nil {
 		return err
-	}
-	h.outWidth = h.buildWidth + h.probeWidth
-	if h.jt.ProbeOnly() {
-		h.outWidth = h.probeWidth
 	}
 	if h.jt == plan.RightOuter {
 		h.matchedBuild = make(map[arena.Addr]struct{})
@@ -391,13 +396,13 @@ func (h *simHashJoin) emitMatch(build arena.Addr, buildLen int, probe core.Probe
 	dst := h.allocOut()
 	h.m.Copy(dst, build, buildLen)
 	h.m.Copy(dst+arena.Addr(buildLen), probe.Addr, probe.Len)
-	h.pending = append(h.pending, Row{Addr: dst, Len: int32(h.outWidth), Code: probe.Code})
+	h.pending = append(h.pending, Row{Addr: dst, Len: h.need, Code: probe.Code})
 }
 
 func (h *simHashJoin) emitProbeOnly(probe core.ProbeTuple) {
 	dst := h.allocOut()
 	h.m.Copy(dst, probe.Addr, probe.Len)
-	h.pending = append(h.pending, Row{Addr: dst, Len: int32(h.outWidth), Code: probe.Code})
+	h.pending = append(h.pending, Row{Addr: dst, Len: h.need, Code: probe.Code})
 }
 
 // emitNullBuild emits an unmatched probe row with the build columns
@@ -408,7 +413,7 @@ func (h *simHashJoin) emitNullBuild(probe core.ProbeTuple) {
 	dst := h.allocOut()
 	nullPadSim(h.m, dst, h.buildWidth)
 	h.m.Copy(dst+arena.Addr(h.buildWidth), probe.Addr, probe.Len)
-	h.pending = append(h.pending, Row{Addr: dst, Len: int32(h.outWidth)})
+	h.pending = append(h.pending, Row{Addr: dst, Len: h.need})
 }
 
 // sweepUnmatchedBuild walks the build relation in storage order and
@@ -424,7 +429,7 @@ func (h *simHashJoin) sweepUnmatchedBuild() {
 			dst := h.allocOut()
 			h.m.Copy(dst, addr, n)
 			nullPadSim(h.m, dst+arena.Addr(h.buildWidth), h.probeWidth)
-			h.pending = append(h.pending, Row{Addr: dst, Len: int32(h.outWidth)})
+			h.pending = append(h.pending, Row{Addr: dst, Len: h.need})
 		}
 	}
 }
@@ -462,6 +467,7 @@ type simHashAggregate struct {
 	groups     int
 	scheme     core.Scheme
 	params     core.Params
+	need       int32 // Row.Len: the leading bytes the parent reads
 
 	rows        []Row
 	next        int
@@ -472,7 +478,7 @@ func newSimHashAggregate(m *vmem.Mem, child Operator, childRel *storage.Relation
 	childWidth, valueOff, groups int, scheme core.Scheme, params core.Params) *simHashAggregate {
 	return &simHashAggregate{
 		m: m, child: child, childRel: childRel, childWidth: childWidth,
-		valueOff: valueOff, groups: groups, scheme: scheme, params: params,
+		valueOff: valueOff, groups: groups, scheme: scheme, params: params, need: AggTupleWidth,
 	}
 }
 
@@ -502,7 +508,7 @@ func (ha *simHashAggregate) Open() error {
 		m.A.PutU32(addr, key)
 		m.A.PutU64(addr+8, count)
 		m.A.PutU64(addr+16, sum)
-		ha.rows = append(ha.rows, Row{Addr: addr, Len: AggTupleWidth, Code: hash.CodeU32(key)})
+		ha.rows = append(ha.rows, Row{Addr: addr, Len: ha.need, Code: hash.CodeU32(key)})
 	})
 	ha.next = 0
 	return nil

@@ -3,6 +3,7 @@ package native
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"hashjoin/internal/arena"
 	"hashjoin/internal/storage"
@@ -115,8 +116,10 @@ func Flatten(rel *storage.Relation, dst []Entry) []Entry {
 	return flatten(rel.Arena().Data(), rel, dst[:0])
 }
 
-// flatten appends one Entry per tuple of rel, in storage order.
+// flatten appends one Entry per tuple of rel, in storage order, growing
+// dst once to fit them all.
 func flatten(data []byte, rel *storage.Relation, dst []Entry) []Entry {
+	dst = slices.Grow(dst, rel.NTuples)
 	eachSlot(data, rel, func(tuple uint64, code uint32, _ uint16) {
 		dst = append(dst, Entry{
 			Code: code,

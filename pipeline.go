@@ -11,6 +11,7 @@ package hashjoin
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"hashjoin/internal/engine"
@@ -331,6 +332,10 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 	logical := engine.HashJoinTyped(buildNode, engine.Scan(probe.rel), pc.joinType)
 	if pc.hasAgg {
 		logical = engine.HashAggregate(logical, pc.aggValueOff, pc.aggGroups)
+	} else {
+		// engine.Run reads only each row's leading key, so the native
+		// join writes only that much of each output row.
+		logical = engine.Project(logical, 4)
 	}
 
 	// WithStrategy engages the planner: Choose picks from the relations'
@@ -417,6 +422,7 @@ func (e *Env) RunPipelineContext(ctx context.Context, build, probe *Relation, op
 			err = native.WrapCancel(gerr, time.Since(start))
 			return PipelineResult{}, err
 		}
+		res.Groups = slices.Grow(res.Groups, len(groups))
 		for _, g := range groups {
 			res.Groups = append(res.Groups, GroupStat{Key: g.Key, Count: g.Count, Sum: g.Sum})
 			res.NOutput += int(g.Count)
